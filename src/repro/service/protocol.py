@@ -13,7 +13,7 @@ parameters::
                  "edge_order": "input", "seed": null,
                  "search_limit": null, "min_size": 1,
                  "polish": false, "prune": "none",
-                 "backend": "auto", "parallel": 1,
+                 "backend": "auto",
                  "correction": "none", "alpha": 0.05},
       "async": false,
       "deadline_seconds": null,
@@ -72,7 +72,6 @@ DEFAULT_PARAMS: dict[str, Any] = {
     "polish": False,
     "prune": "none",
     "backend": "auto",
-    "parallel": 1,
     "correction": "none",
     "alpha": 0.05,
 }
@@ -137,10 +136,15 @@ def _validate_instance_fields(
         "'labels.type' must be 'discrete' or 'continuous', got "
         f"{labels_doc.get('type')!r}",
     )
+    members = "assignment" if labels_doc["type"] == "discrete" else "scores"
+    _require(
+        isinstance(labels_doc.get(members, {}), dict),
+        f"'labels.{members}' must be an object",
+    )
 
     vertex_type = doc.get("vertex_type", "int")
     _require(
-        vertex_type in _VERTEX_TYPES,
+        isinstance(vertex_type, str) and vertex_type in _VERTEX_TYPES,
         f"'vertex_type' must be one of {sorted(_VERTEX_TYPES)}, "
         f"got {vertex_type!r}",
     )
@@ -213,7 +217,6 @@ def validate_request(doc: Any) -> dict[str, Any]:
     _check_int(params["top_t"], "params.top_t", minimum=1)
     _check_int(params["n_theta"], "params.n_theta", minimum=1)
     _check_int(params["min_size"], "params.min_size", minimum=1)
-    _check_int(params["parallel"], "params.parallel", minimum=1)
     if params["search_limit"] is not None:
         _check_int(params["search_limit"], "params.search_limit", minimum=1)
     if params["seed"] is not None:
@@ -324,7 +327,7 @@ def labeling_from_doc(
             return ContinuousLabeling(scores)
     except RequestValidationError:
         raise
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
+    except (ReproError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise RequestValidationError(f"invalid 'labels' document: {exc}") from exc
     raise RequestValidationError(
         f"'labels.type' must be 'discrete' or 'continuous', got {kind!r}"
@@ -351,7 +354,7 @@ def build_instance(
             for u, v in request["graph"]["edges"]
         ]
         extra = [vertex_type(v) for v in request["graph"]["vertices"]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestValidationError(f"invalid 'graph' document: {exc}") from exc
     try:
         graph = Graph.from_edges(edges, vertices=extra)

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +23,12 @@ from conftest import service_cache_dir_from_env
 
 pytestmark = pytest.mark.service
 
-QUICK_REQUEST = validate_request({
+QUICK_REQUEST_DOC = {
     "graph": {"edges": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4]]},
     "labels": {"type": "discrete", "probabilities": [0.8, 0.2],
                "assignment": {"0": 1, "1": 1, "2": 1, "3": 0, "4": 0}},
-})
+}
+QUICK_REQUEST = validate_request(QUICK_REQUEST_DOC)
 
 # Exhaustive search on a 40-vertex near-complete graph: effectively
 # unbounded wall time, but cooperatively cancellable every 256 states.
@@ -233,6 +238,40 @@ class TestShutdown:
             assert "shutting down" in job.error
         with pytest.raises(ServiceError):
             mgr.submit(QUICK_REQUEST)
+
+
+    def test_interpreter_exits_without_close(self):
+        """A parent that finishes a job and returns without ``close()``
+        must still exit: the workers are daemonic, so interpreter shutdown
+        terminates them instead of joining them forever."""
+        script = textwrap.dedent("""
+            from repro.service.jobs import JobManager
+            from repro.service.protocol import validate_request
+
+            if __name__ == "__main__":
+                manager = JobManager(workers=1, cache_size=4)
+                job = manager.submit(validate_request(%r))
+                assert job.wait(120), "job never finished"
+                print(job.status, flush=True)
+        """) % (QUICK_REQUEST_DOC,)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            status = child.stdout.readline().strip()
+            assert status == "done", child.stderr.read()
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode == 0, child.stderr.read()
 
 
 class TestBatching:

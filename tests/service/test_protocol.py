@@ -31,6 +31,10 @@ class TestValidateRequest:
         assert request["async"] is False
         assert request["deadline_seconds"] is None
 
+    def test_removed_parallel_param_is_unknown(self):
+        with pytest.raises(RequestValidationError, match="unknown params"):
+            validate_request(dict(MINIMAL, params={"parallel": 2}))
+
     def test_params_merge_with_defaults(self):
         doc = dict(MINIMAL, params={"top_t": 3, "prune": "bounds"})
         request = validate_request(doc)
@@ -155,6 +159,20 @@ class TestBuildInstance:
     def test_self_loop_is_a_validation_error(self):
         doc = dict(MINIMAL, graph={"edges": [[0, 0]]})
         with pytest.raises(RequestValidationError):
+            build_instance(validate_request(doc))
+
+    def test_infinite_vertex_id_is_a_validation_error(self):
+        # json.loads accepts Infinity; int(inf) raises OverflowError.
+        doc = dict(MINIMAL, graph={"edges": [[float("inf"), 1]]})
+        with pytest.raises(RequestValidationError, match="graph"):
+            build_instance(validate_request(doc))
+
+    def test_infinite_label_is_a_validation_error(self):
+        doc = dict(MINIMAL, labels={
+            "type": "discrete", "probabilities": [0.8, 0.2],
+            "assignment": {"0": float("inf"), "1": 1, "2": 0},
+        })
+        with pytest.raises(RequestValidationError, match="labels"):
             build_instance(validate_request(doc))
 
 

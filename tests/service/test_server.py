@@ -218,6 +218,45 @@ class TestGraphRegistryEndpoints:
         assert http("PUT", service + "/nope", {})[0] == 404
 
 
+class TestMalformedInstanceDocuments:
+    """Wrong-typed instance fields get a 400, not a dropped connection or
+    a worker-side 500."""
+
+    def test_mine_with_unhashable_vertex_type_is_400(self, service):
+        status, body = http(
+            "POST", service + "/mine", dict(REQUEST, vertex_type=[1])
+        )
+        assert status == 400
+        assert "vertex_type" in body["error"]
+
+    def test_upload_with_unhashable_vertex_type_is_400(self, service):
+        doc = dict(TestGraphRegistryEndpoints.DOCUMENT, vertex_type={})
+        status, body = http("PUT", service + "/graphs", doc)
+        assert status == 400
+        assert "vertex_type" in body["error"]
+
+    def test_mine_with_list_members_is_400(self, service):
+        for labels in (
+            dict(REQUEST["labels"], assignment=[1, 1, 1, 0, 0, 0]),
+            {"type": "continuous", "scores": [[1.0], [2.0]]},
+        ):
+            status, body = http(
+                "POST", service + "/mine", dict(REQUEST, labels=labels)
+            )
+            assert status == 400, labels
+            assert "must be an object" in body["error"]
+
+    def test_upload_with_list_members_is_400(self, service):
+        for labels in (
+            dict(REQUEST["labels"], assignment=[1, 1, 1, 0, 0, 0]),
+            {"type": "continuous", "scores": [[1.0], [2.0]]},
+        ):
+            doc = dict(TestGraphRegistryEndpoints.DOCUMENT, labels=labels)
+            status, body = http("PUT", service + "/graphs", doc)
+            assert status == 400, labels
+            assert "must be an object" in body["error"]
+
+
 class TestHealth:
     def test_healthz_reports_pool(self, service):
         status, body = http("GET", service + "/healthz")
